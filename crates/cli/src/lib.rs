@@ -3016,6 +3016,29 @@ mod tests {
         assert!(run(&argv("profile")).is_err());
     }
 
+    #[test]
+    fn profile_trace_splits_lint_by_family() {
+        let trace = std::env::temp_dir().join("ccsql_profile_lint_spans.trace.json");
+        let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3.ccsql");
+        run(&[
+            "--trace-out".into(),
+            trace.display().to_string(),
+            "profile".into(),
+            spec.into(),
+            "--quick".into(),
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let _ = std::fs::remove_file(&trace);
+        for family in ["expr", "coverage"] {
+            let span = text
+                .split("{\"ph\":\"X\"")
+                .find(|e| e.contains(&format!("\"cat\":\"lint\",\"name\":\"{family}\"")))
+                .unwrap_or_else(|| panic!("no lint/{family} span in trace"));
+            assert!(span.contains("\"table\":\"Fig3\""), "{span}");
+        }
+    }
+
     /// Every long-running subcommand honors the global `--metrics=` flag
     /// (fuzz, bench and lint each leave their own counters behind).
     #[test]

@@ -56,7 +56,15 @@ pub fn lint_table(
     report: &mut LintReport,
 ) {
     ccsql_obs::counter_add("ccsql_lint.tables", 1);
-    expr_lint::lint_exprs(spec, ctx, span_of, report);
+    // One flight span per analysis family, so a trace splits lint time
+    // by family and controller.
+    {
+        let fspan = ccsql_obs::flight::span("lint", "expr");
+        fspan.arg("table", spec.name.as_str());
+        expr_lint::lint_exprs(spec, ctx, span_of, report);
+    }
+    let fspan = ccsql_obs::flight::span("lint", "coverage");
+    fspan.arg("table", spec.name.as_str());
     coverage::lint_coverage(spec, ctx, span_of, report);
 }
 

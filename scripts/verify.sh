@@ -182,6 +182,26 @@ for bad in specs/fig3_buggy.ccsql specs/phase_priority_buggy.ccsql; do
     fi
 done
 
+echo "==> ccsql lint determinism (two --json runs byte-identical; --protocol under v0/v1/v2)"
+for run in 1 2; do
+    rc=0
+    # A failing lint prints its findings on stderr.
+    cargo run --quiet --release -p ccsql-cli -- lint --json specs/fig3_buggy.ccsql \
+        > "$BENCH_DIR/lint_buggy$run.jsonl" 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "lint --json specs/fig3_buggy.ccsql exited $rc, expected 1" >&2
+        exit 1
+    fi
+    cargo run --quiet --release -p ccsql-cli -- lint --protocol --json \
+        > "$BENCH_DIR/lint_protocol$run.jsonl"
+done
+diff "$BENCH_DIR/lint_buggy1.jsonl" "$BENCH_DIR/lint_buggy2.jsonl"
+diff "$BENCH_DIR/lint_protocol1.jsonl" "$BENCH_DIR/lint_protocol2.jsonl"
+grep -q '"code":"CCL003"' "$BENCH_DIR/lint_buggy1.jsonl"
+for v in v0 v1 v2; do
+    cargo run --quiet --release -p ccsql-cli -- lint --protocol --assignment "$v" > /dev/null
+done
+
 echo "==> ccsql flows (parameterized vs concrete vs operational deadlock verdicts, N=2..5)"
 # Spec files: clean specs must be verdict-clean at every N; the seeded
 # flow-bug fixture must be rejected with CCL031 naming the Figure-4
